@@ -1,6 +1,8 @@
 #include "measure/corpus.h"
 
+#include "obs/trace.h"
 #include "topo/topology.h"
+#include "util/parallel.h"
 
 namespace netcong::measure {
 
@@ -84,29 +86,28 @@ TracerouteRecord TraceCorpus::materialize(std::size_t i,
   r.hops.reserve(hop_count[i]);
   for (std::uint32_t h = 0; h < hop_count[i]; ++h) {
     const PackedTraceHop& ph = span[h];
-    TraceHop th;
-    th.ttl = ph.ttl;
-    th.responded = ph.responded != 0;
-    if (th.responded) {
-      th.addr = ph.addr;
-      th.rtt_ms = ph.rtt_ms;
-      if (ph.iface.valid()) th.dns_name = topo.iface(ph.iface).dns_name;
-    }
-    r.hops.push_back(std::move(th));
+    r.hops.push_back(make_trace_hop(topo, ph.ttl, ph.responded != 0, ph.addr,
+                                    ph.rtt_ms, ph.iface));
   }
   return r;
 }
 
-CampaignResult ColumnarCampaignResult::materialize() const {
+CampaignResult ColumnarCampaignResult::materialize(int threads) && {
+  obs::Span span("campaign.materialize");
   CampaignResult out;
-  out.tests.reserve(tests.size());
-  for (std::size_t i = 0; i < tests.size(); ++i) {
-    out.tests.push_back(tests.materialize(i, paths));
-  }
-  out.traceroutes.reserve(traceroutes.size());
-  for (std::size_t i = 0; i < traceroutes.size(); ++i) {
-    out.traceroutes.push_back(traceroutes.materialize(i, *topo, paths));
-  }
+  // Every slot is written by exactly one iteration, so the output is the
+  // same for any worker count. The hop arenas are released before the
+  // test records grow, so the columnar and record footprints overlap only
+  // partly.
+  out.traceroutes.resize(traceroutes.size());
+  util::parallel_for(traceroutes.size(), threads, [&](std::size_t i) {
+    out.traceroutes[i] = traceroutes.materialize(i, *topo, paths);
+  });
+  traceroutes = TraceCorpus();
+  out.tests.resize(tests.size());
+  util::parallel_for(tests.size(), threads, [&](std::size_t i) {
+    out.tests[i] = tests.materialize(i, paths);
+  });
   out.traceroutes_skipped_busy = traceroutes_skipped_busy;
   out.traceroutes_skipped_cached = traceroutes_skipped_cached;
   out.traceroutes_failed = traceroutes_failed;

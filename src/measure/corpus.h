@@ -1,13 +1,14 @@
 #pragma once
 
-// Columnar (structure-of-arrays) campaign output for internet-scale runs.
+// Columnar (structure-of-arrays) campaign output — the representation the
+// NDT campaign engine (NdtCampaign::run_columnar) produces.
 //
-// The classic CampaignResult is an array of structs: every NdtRecord owns a
-// full copy of its RouterPath (three vectors), every TracerouteRecord owns a
-// vector of TraceHop each carrying a heap std::string for the PTR name. At
-// 10M tests that is tens of millions of small allocations and several
-// redundant copies of every popular path. The columnar layout removes all
-// of it:
+// An array-of-structs CampaignResult pays for every NdtRecord owning a
+// full copy of its RouterPath (three vectors) and every TracerouteRecord
+// owning a vector of TraceHop each carrying a heap std::string for the PTR
+// name. At 10M tests that is tens of millions of small allocations and
+// several redundant copies of every popular path. The columnar layout
+// removes all of it:
 //
 //  * NdtCorpus / TraceCorpus hold one flat vector per field;
 //  * truth paths are interned once in a PathPool and referenced by index —
@@ -18,13 +19,16 @@
 //  * PTR strings are not stored at all: a hop keeps the replying
 //    topo::InterfaceId and the name is derived from the topology on demand
 //    (an invalid id means "no PTR" — stars, management addresses, and
-//    destination hosts, exactly the cases the classic record left empty).
+//    destination hosts, exactly the cases where TraceHop::dns_name is
+//    empty).
 //
-// Equivalence contract: NdtCampaign::run_columnar produces, field for
-// field, the same values as NdtCampaign::run — materialize() reconstructs
-// the classic records bit-identically and measure::fingerprint of the two
-// results is equal. Consumers that want bounded memory stream the corpus
-// with for_each_batch instead of materializing it whole.
+// The record types (NdtRecord, TracerouteRecord) are a materialized view
+// of these columns: ColumnarCampaignResult::materialize() turns the whole
+// result into the CampaignResult that NdtCampaign::run returns, and the
+// per-index materialize() calls build one record at a time (the event log
+// and the fingerprints stream through them). Consumers that want bounded
+// memory stream the corpus with for_each_batch instead of materializing
+// it whole.
 
 #include <cstddef>
 #include <cstdint>
@@ -41,7 +45,7 @@ namespace netcong::measure {
 
 // Index of an interned path in a PathPool; kNoPath marks records that never
 // acquired a path (unserved/aborted/failed stubs) and materializes as a
-// default RouterPath, matching the classic records' untouched truth fields.
+// default RouterPath.
 using PathRef = std::uint32_t;
 inline constexpr PathRef kNoPath = 0xffffffffu;
 
@@ -68,8 +72,9 @@ class PathPool {
   std::vector<std::shared_ptr<const route::RouterPath>> paths_;
 };
 
-// One traceroute hop in 24 bytes (vs ~64 + a string allocation for the
-// classic TraceHop). Trivially copyable by design: hops live in Arena slabs.
+// One traceroute hop in 24 bytes (vs ~64 + a string allocation for a
+// materialized TraceHop). Trivially copyable by design: hops live in Arena
+// slabs.
 struct PackedTraceHop {
   double rtt_ms = 0.0;
   topo::IpAddr addr;         // valid only if responded
@@ -103,7 +108,7 @@ struct NdtCorpus {
   std::size_t size() const { return test_id.size(); }
   void resize(std::size_t n);
 
-  // The scalar fields of record i as a classic NdtRecord; truth_path is left
+  // The scalar fields of record i as an NdtRecord; truth_path is left
   // default-constructed (analyses never read it — it is validation-only).
   NdtRecord materialize_scalar(std::size_t i) const;
   // Full reconstruction including the truth path copy.
@@ -138,9 +143,9 @@ struct TraceCorpus {
                                const PathPool& pool) const;
 };
 
-// Columnar counterpart of CampaignResult: identical accounting, shared
-// PathPool for test and traceroute truth paths, plus the topology pointer
-// PTR derivation needs.
+// The campaign's output: CampaignResult's accounting, a shared PathPool
+// for test and traceroute truth paths, plus the topology pointer PTR
+// derivation needs.
 struct ColumnarCampaignResult {
   NdtCorpus tests;
   TraceCorpus traceroutes;
@@ -151,10 +156,12 @@ struct ColumnarCampaignResult {
   PathPool paths;
   const topo::Topology* topo = nullptr;
 
-  // Reconstructs the classic AoS result (every record bit-identical to what
-  // NdtCampaign::run would have produced). Costs the full AoS footprint —
-  // meant for parity tests and small runs, not the 10M-test path.
-  CampaignResult materialize() const;
+  // Turns the result into the AoS records NdtCampaign::run returns,
+  // materializing in parallel over `threads` workers (same meaning as
+  // CampaignConfig::threads; the output does not depend on it). Consumes
+  // the columns as it goes. Costs the full AoS footprint — not meant for
+  // the 10M-test path.
+  CampaignResult materialize(int threads = 1) &&;
 };
 
 // Invokes fn(begin, end) over consecutive half-open index ranges covering

@@ -130,79 +130,50 @@ std::uint64_t fingerprint_before(const CampaignResult& result,
   return fp.value();
 }
 
+namespace {
+// The accounting tail both campaign fingerprints end with.
+void mix_accounting(Fingerprint& fp, std::size_t skipped_busy,
+                    std::size_t skipped_cached, std::size_t failed,
+                    const sim::DataQuality& quality) {
+  fp.mix(static_cast<std::uint64_t>(skipped_busy));
+  fp.mix(static_cast<std::uint64_t>(skipped_cached));
+  fp.mix(static_cast<std::uint64_t>(failed));
+  for (const auto& [metric, value] : quality.rows()) {
+    fp.mix(metric);
+    fp.mix(static_cast<std::uint64_t>(value));
+  }
+}
+}  // namespace
+
 std::uint64_t fingerprint(const CampaignResult& result) {
   Fingerprint fp;
   fp.mix(static_cast<std::uint64_t>(result.tests.size()));
   for (const auto& t : result.tests) mix_record(fp, t);
   fp.mix(static_cast<std::uint64_t>(result.traceroutes.size()));
   for (const auto& tr : result.traceroutes) mix_record(fp, tr);
-  fp.mix(static_cast<std::uint64_t>(result.traceroutes_skipped_busy));
-  fp.mix(static_cast<std::uint64_t>(result.traceroutes_skipped_cached));
-  fp.mix(static_cast<std::uint64_t>(result.traceroutes_failed));
-  for (const auto& [metric, value] : result.quality.rows()) {
-    fp.mix(metric);
-    fp.mix(static_cast<std::uint64_t>(value));
-  }
+  mix_accounting(fp, result.traceroutes_skipped_busy,
+                 result.traceroutes_skipped_cached, result.traceroutes_failed,
+                 result.quality);
   return fp.value();
 }
 
 std::uint64_t fingerprint(const ColumnarCampaignResult& result) {
-  // Byte-for-byte the same sequence as fingerprint(CampaignResult): each
-  // column read plays the role of the corresponding record field, the truth
-  // refs resolve through the pool, and PTR names come from the topology
-  // exactly as the classic record sink stored them.
+  // The same byte sequence as fingerprint(result.materialize()), one
+  // materialized record at a time.
   Fingerprint fp;
-  const NdtCorpus& t = result.tests;
-  fp.mix(static_cast<std::uint64_t>(t.size()));
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    fp.mix(t.test_id[i]);
-    fp.mix(static_cast<std::uint64_t>(t.client[i]));
-    fp.mix(static_cast<std::uint64_t>(t.server[i]));
-    fp.mix(t.utc_time_hours[i]);
-    fp.mix(t.download_mbps[i]);
-    fp.mix(t.upload_mbps[i]);
-    fp.mix(t.flow_rtt_ms[i]);
-    fp.mix(t.retrans_rate[i]);
-    fp.mix(static_cast<std::uint64_t>(t.congestion_signals[i]));
-    fp.mix(static_cast<std::uint64_t>(t.client_asn[i]));
-    fp.mix(static_cast<std::uint64_t>(t.server_asn[i]));
-    fp.mix(static_cast<std::uint64_t>(t.status[i]));
-    fp.mix(t.truncated[i] != 0);
-    fp.mix(t.has_webstats[i] != 0);
-    mix_record(fp, result.paths.at(t.truth_path[i]));
-    fp.mix(static_cast<std::uint64_t>(t.truth_bottleneck[i].value));
-    fp.mix(t.truth_access_limited[i] != 0);
+  const NdtCorpus& tests = result.tests;
+  fp.mix(static_cast<std::uint64_t>(tests.size()));
+  for (std::size_t i = 0; i < tests.size(); ++i) {
+    mix_record(fp, tests.materialize(i, result.paths));
   }
-  const TraceCorpus& tr = result.traceroutes;
-  fp.mix(static_cast<std::uint64_t>(tr.size()));
-  for (std::size_t i = 0; i < tr.size(); ++i) {
-    fp.mix(static_cast<std::uint64_t>(tr.src_host[i]));
-    fp.mix(static_cast<std::uint64_t>(tr.dst[i].value));
-    fp.mix(tr.utc_time_hours[i]);
-    fp.mix(tr.reached_dst[i] != 0);
-    fp.mix(static_cast<std::uint64_t>(tr.hop_count[i]));
-    const PackedTraceHop* span = tr.hops[i];
-    for (std::uint32_t h = 0; h < tr.hop_count[i]; ++h) {
-      const PackedTraceHop& hop = span[h];
-      fp.mix(static_cast<std::uint64_t>(hop.ttl));
-      fp.mix(hop.responded != 0);
-      fp.mix(static_cast<std::uint64_t>(hop.addr.value));
-      fp.mix(hop.rtt_ms);
-      if (hop.responded != 0 && hop.iface.valid()) {
-        fp.mix(std::string_view(result.topo->iface(hop.iface).dns_name));
-      } else {
-        fp.mix(std::string_view());
-      }
-    }
-    mix_record(fp, result.paths.at(tr.truth[i]));
+  const TraceCorpus& traces = result.traceroutes;
+  fp.mix(static_cast<std::uint64_t>(traces.size()));
+  for (std::size_t i = 0; i < traces.size(); ++i) {
+    mix_record(fp, traces.materialize(i, *result.topo, result.paths));
   }
-  fp.mix(static_cast<std::uint64_t>(result.traceroutes_skipped_busy));
-  fp.mix(static_cast<std::uint64_t>(result.traceroutes_skipped_cached));
-  fp.mix(static_cast<std::uint64_t>(result.traceroutes_failed));
-  for (const auto& [metric, value] : result.quality.rows()) {
-    fp.mix(metric);
-    fp.mix(static_cast<std::uint64_t>(value));
-  }
+  mix_accounting(fp, result.traceroutes_skipped_busy,
+                 result.traceroutes_skipped_cached, result.traceroutes_failed,
+                 result.quality);
   return fp.value();
 }
 

@@ -64,10 +64,11 @@ std::uint64_t truth_fingerprint(const std::vector<TracerouteRecord>& corpus);
 std::uint64_t fingerprint_before(const CampaignResult& result,
                                  double cutoff_hours);
 
-// Streams the columnar result through the same byte sequence as the
-// CampaignResult overload — run() and run_columnar() on identical inputs
-// yield equal fingerprints, without materializing an AoS copy. Requires
-// result.topo (PTR names are derived from the topology).
+// Fingerprint of the campaign's columnar output, equal to the
+// CampaignResult overload over its materialized view (so run() and
+// run_columnar() on identical inputs yield equal fingerprints). Streams
+// one record at a time instead of materializing the whole result.
+// Requires result.topo (PTR names are derived from the topology).
 std::uint64_t fingerprint(const ColumnarCampaignResult& result);
 
 // Structural fingerprint of a generated world: every topology entity,

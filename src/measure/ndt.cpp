@@ -56,9 +56,7 @@ const CampaignMetrics& campaign_metrics() {
   return m;
 }
 
-// One entry of the flat test plan phase 1 produces. Shared verbatim by the
-// classic and the columnar engine so their downstream phases see identical
-// inputs.
+// One entry of the flat test plan phase 1 produces.
 struct Planned {
   std::uint32_t client = 0;
   std::uint32_t server = 0;
@@ -136,27 +134,23 @@ std::vector<Planned> build_plan(const std::vector<gen::TestRequest>& schedule,
 
 // Serial accounting sweep over the per-slot test outcomes (the parallel
 // phase writes no shared counters; metrics are bumped here too, so the hot
-// loop stays untouched even with the registry enabled). The accessors
-// abstract over AoS records and SoA columns.
-template <typename StatusAt, typename TruncatedAt, typename WebstatsAt,
-          typename DownloadAt>
-void account_tests(std::size_t n, const StatusAt& status_at,
-                   const TruncatedAt& truncated_at,
-                   const WebstatsAt& webstats_at, const DownloadAt& download_at,
-                   sim::DataQuality& quality, double simulate_s) {
+// loop stays untouched even with the registry enabled).
+void account_tests(const NdtCorpus& tests, sim::DataQuality& quality,
+                   double simulate_s) {
+  const std::size_t n = tests.size();
   const CampaignMetrics& metrics = campaign_metrics();
   quality.tests_attempted = n;
   const bool metrics_on = metrics.reg.enabled();
   for (std::size_t i = 0; i < n; ++i) {
-    switch (status_at(i)) {
+    switch (tests.status[i]) {
       case NdtStatus::kCompleted:
         ++quality.tests_completed;
-        if (truncated_at(i)) ++quality.tests_truncated;
-        if (!webstats_at(i)) {
+        if (tests.truncated[i] != 0) ++quality.tests_truncated;
+        if (tests.has_webstats[i] == 0) {
           ++quality.webstats_dropped;
           quality.fields_dropped += 2;  // flow_rtt_ms + retrans_rate
         }
-        if (metrics_on) metrics.download.observe(download_at(i));
+        if (metrics_on) metrics.download.observe(tests.download_mbps[i]);
         break;
       case NdtStatus::kAborted: ++quality.tests_aborted; break;
       case NdtStatus::kUnserved: ++quality.tests_unserved; break;
@@ -186,23 +180,20 @@ void account_tests(std::size_t n, const StatusAt& status_at,
 // pass stays serial and deterministic. Only the *decision* is made here —
 // the daemon's occupancy depends on a drawn trace duration, never on the
 // trace's contents — so the simulation of the selected traceroutes can run
-// in parallel afterwards. Only completed tests reach the daemon. `Result`
-// is CampaignResult or ColumnarCampaignResult (identical counter fields).
-template <typename Result, typename CompletedAt>
+// in parallel afterwards. Only completed tests reach the daemon.
 std::vector<std::size_t> schedule_traces(const std::vector<Planned>& plan,
-                                         const CompletedAt& completed_at,
                                          const util::Rng& root,
                                          const CampaignConfig& config,
                                          bool faulted,
                                          const sim::FaultInjector* faults,
                                          const sim::FaultConfig* fc,
-                                         Result& out) {
+                                         ColumnarCampaignResult& out) {
   util::FlatMap<std::uint32_t, double> tracer_busy_until;
   util::FlatMap<std::uint64_t, double> last_traced;
   std::vector<std::size_t> traced;  // indices into plan, in time order
   for (std::size_t i = 0; i < plan.size(); ++i) {
     const Planned& p = plan[i];
-    if (!completed_at(i)) continue;
+    if (out.tests.status[i] != NdtStatus::kCompleted) continue;
     util::Rng tr_rng = root.fork(kStreamTrace + p.id);
     double tr_start = p.when + config.ndt_duration_s / 3600.0;
     double& busy = tracer_busy_until[p.server];
@@ -308,15 +299,9 @@ NdtCampaign::SingleOutcome NdtCampaign::simulate_single(
   // salts the key after the epoch, withdrawal swaps in the scenario's
   // post-epoch view. The rewritten key is also the cache/pool identity, so
   // pre- and post-epoch paths never alias under one key.
-  bool post_view = adversary_ != nullptr && adversary_->enabled() &&
-                   adversary_->rewrite_test_key(server, key.dst,
-                                                utc_time_hours, key);
+  so.path = acquire_path(*fwd_, cache_, adversary_, /*is_trace=*/false,
+                         server, key.dst, utc_time_hours, key);
   so.path_key = route::PathCache::make_key(server, key.dst, key);
-  so.path = post_view
-                ? adversary_->post_cache().path_shared(server, key.dst, key)
-                : cache_ ? cache_->path_shared(server, key.dst, key)
-                         : std::make_shared<const route::RouterPath>(
-                               fwd_->path(server, key.dst, key));
   if (!so.path->valid) return so;
 
   sim::ThroughputEstimate est = model_->estimate(
@@ -365,9 +350,16 @@ NdtRecord NdtCampaign::run_single(std::uint32_t client, std::uint32_t server,
 
 CampaignResult NdtCampaign::run(const std::vector<gen::TestRequest>& schedule,
                                 util::Rng& rng) const {
+  return run_columnar(schedule, rng).materialize(config_.threads);
+}
+
+ColumnarCampaignResult NdtCampaign::run_columnar(
+    const std::vector<gen::TestRequest>& schedule, util::Rng& rng) const {
   obs::Span run_span("campaign.run");
   campaign_metrics().runs.inc();
-  CampaignResult out;
+  const topo::Topology& topo = *world_->topo;
+  ColumnarCampaignResult out;
+  out.topo = &topo;
   const bool faulted = faults_ != nullptr && faults_->enabled();
   const sim::FaultConfig* fc = faulted ? &faults_->config() : nullptr;
 
@@ -375,7 +367,7 @@ CampaignResult NdtCampaign::run(const std::vector<gen::TestRequest>& schedule,
   // off `root` by a stable id (request index or test id), never from one
   // shared sequential stream — and every *fault* decision draws from the
   // injector's (site, item) streams. Each phase's draws are therefore
-  // independent of the other phases and of how the parallel phase is
+  // independent of the other phases and of how the parallel phases are
   // scheduled, making the campaign output bit-identical for any worker
   // count, with or without faults.
   const util::Rng root = rng.fork("ndt-campaign");
@@ -389,122 +381,10 @@ CampaignResult NdtCampaign::run(const std::vector<gen::TestRequest>& schedule,
   // by exactly one iteration and each test's randomness comes from a fork
   // on its id; fault draws come from the injector's per-site streams. An
   // iteration never throws out of the loop — internal errors classify the
-  // record as kFailed instead.
-  const double dur_h = config_.ndt_duration_s / 3600.0;
-  out.tests.resize(plan.size());
-  phase_span.emplace("campaign.simulate");
-  const auto simulate_start = std::chrono::steady_clock::now();
-  util::parallel_for(plan.size(), config_.threads, [&](std::size_t i) {
-    const Planned& p = plan[i];
-    NdtRecord& rec = out.tests[i];
-    rec.test_id = p.id;
-    rec.client = p.client;
-    rec.server = p.server;
-    rec.utc_time_hours = p.when;
-    rec.client_asn = world_->topo->host(p.client).asn;
-    rec.server_asn = world_->topo->host(p.server).asn;
-    rec.status = p.status;
-    if (p.status != NdtStatus::kCompleted) return;  // unserved stub
-
-    if (faulted &&
-        (faults_->fires(sim::FaultSite::kNdtAbort, p.id, fc->ndt_abort_prob) ||
-         faults_->server_down(p.server, p.when + dur_h))) {
-      // Abort fault, or the server flapped away mid-test.
-      rec.status = NdtStatus::kAborted;
-      return;
-    }
-    try {
-      util::Rng test_rng = root.fork(kStreamTest + p.id);
-      rec = run_single(p.client, p.server, p.when, p.id, test_rng);
-    } catch (...) {
-      rec.status = NdtStatus::kFailed;
-      return;
-    }
-    if (!faulted) return;
-    util::Rng trunc_rng = faults_->stream(sim::FaultSite::kNdtTruncate, p.id);
-    if (trunc_rng.chance(fc->ndt_truncate_prob)) {
-      // Throughput measured on a partial transfer: biased by slow-start
-      // weight or a missed late dip, in either direction.
-      rec.truncated = true;
-      rec.download_mbps *= trunc_rng.uniform(0.5, 1.1);
-    }
-    if (faults_->fires(sim::FaultSite::kWebStatsDrop, p.id,
-                       fc->webstats_drop_prob)) {
-      rec.has_webstats = false;
-      rec.flow_rtt_ms = 0.0;
-      rec.retrans_rate = 0.0;
-    }
-  });
-
-  const double simulate_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    simulate_start)
-          .count();
-  phase_span.emplace("campaign.account");
-  account_tests(
-      plan.size(), [&](std::size_t i) { return out.tests[i].status; },
-      [&](std::size_t i) { return out.tests[i].truncated; },
-      [&](std::size_t i) { return out.tests[i].has_webstats; },
-      [&](std::size_t i) { return out.tests[i].download_mbps; }, out.quality,
-      simulate_s);
-
-  phase_span.emplace("campaign.trace_schedule");
-  std::vector<std::size_t> traced = schedule_traces(
-      plan,
-      [&](std::size_t i) {
-        return out.tests[i].status == NdtStatus::kCompleted;
-      },
-      root, config_, faulted, faults_, fc, out);
-
-  // Phase 3b (parallel): simulate the selected traceroutes. Probe artifacts
-  // (stars, silent clients, missing PTRs) draw from their own fork stream,
-  // keyed on the test id, so the records are independent of worker count
-  // and of the scheduling draws above. A trace that drew the probe-loss
-  // fault runs with an elevated star probability (a lossy probe path).
-  out.traceroutes.resize(traced.size());
-  phase_span.emplace("campaign.trace_simulate");
-  util::parallel_for(traced.size(), config_.threads, [&](std::size_t t) {
-    const Planned& p = plan[traced[t]];
-    util::Rng probe_rng = root.fork(kStreamProbe + p.id);
-    double tr_start = p.when + config_.ndt_duration_s / 3600.0;
-    TracerouteOptions opts = config_.traceroute;
-    if (adversary_ != nullptr) opts.adversary = adversary_;
-    if (faulted && faults_->fires(sim::FaultSite::kProbeLoss, p.id,
-                                  fc->probe_loss_prob)) {
-      opts.star_prob =
-          std::min(0.9, opts.star_prob + fc->probe_loss_extra_star);
-    }
-    out.traceroutes[t] = run_traceroute(
-        *world_->topo, *fwd_, p.server, world_->topo->host(p.client).addr,
-        tr_start, opts, probe_rng, cache_);
-  });
-  return out;
-}
-
-ColumnarCampaignResult NdtCampaign::run_columnar(
-    const std::vector<gen::TestRequest>& schedule, util::Rng& rng) const {
-  obs::Span run_span("campaign.run");
-  campaign_metrics().runs.inc();
-  const topo::Topology& topo = *world_->topo;
-  ColumnarCampaignResult out;
-  out.topo = &topo;
-  const bool faulted = faults_ != nullptr && faults_->enabled();
-  const sim::FaultConfig* fc = faulted ? &faults_->config() : nullptr;
-
-  // Same RNG discipline as run(): see the comment there. Every per-item
-  // stream id below matches run()'s, so the two engines draw identical
-  // sequences item for item.
-  const util::Rng root = rng.fork("ndt-campaign");
-
-  std::optional<obs::Span> phase_span;
-  phase_span.emplace("campaign.plan");
-  std::vector<Planned> plan = build_plan(schedule, root, *platform_, config_,
-                                         faulted, faults_, fc, out.quality);
-
-  // Phase 2 (parallel): as in run(), but the outcome lands in SoA columns
-  // and the path lands in a per-slot shared_ptr; paths are interned into
-  // the pool serially afterwards (first-seen slot order), so the pool
-  // contents are independent of thread count.
+  // record as kFailed instead. The outcome lands in SoA columns and the
+  // path in a per-slot shared_ptr; paths are interned into the pool
+  // serially afterwards (first-seen slot order), so the pool contents are
+  // independent of thread count.
   const double dur_h = config_.ndt_duration_s / 3600.0;
   NdtCorpus& tests = out.tests;
   tests.resize(plan.size());
@@ -526,6 +406,7 @@ ColumnarCampaignResult NdtCampaign::run_columnar(
     if (faulted &&
         (faults_->fires(sim::FaultSite::kNdtAbort, p.id, fc->ndt_abort_prob) ||
          faults_->server_down(p.server, p.when + dur_h))) {
+      // Abort fault, or the server flapped away mid-test.
       tests.status[i] = NdtStatus::kAborted;
       return;
     }
@@ -548,6 +429,8 @@ ColumnarCampaignResult NdtCampaign::run_columnar(
     if (!faulted) return;
     util::Rng trunc_rng = faults_->stream(sim::FaultSite::kNdtTruncate, p.id);
     if (trunc_rng.chance(fc->ndt_truncate_prob)) {
+      // Throughput measured on a partial transfer: biased by slow-start
+      // weight or a missed late dip, in either direction.
       tests.truncated[i] = 1;
       tests.download_mbps[i] *= trunc_rng.uniform(0.5, 1.1);
     }
@@ -576,20 +459,18 @@ ColumnarCampaignResult NdtCampaign::run_columnar(
   slot_key.shrink_to_fit();
 
   phase_span.emplace("campaign.account");
-  account_tests(
-      plan.size(), [&](std::size_t i) { return tests.status[i]; },
-      [&](std::size_t i) { return tests.truncated[i] != 0; },
-      [&](std::size_t i) { return tests.has_webstats[i] != 0; },
-      [&](std::size_t i) { return tests.download_mbps[i]; }, out.quality,
-      simulate_s);
+  account_tests(tests, out.quality, simulate_s);
 
   phase_span.emplace("campaign.trace_schedule");
-  std::vector<std::size_t> traced = schedule_traces(
-      plan,
-      [&](std::size_t i) { return tests.status[i] == NdtStatus::kCompleted; },
-      root, config_, faulted, faults_, fc, out);
+  std::vector<std::size_t> traced =
+      schedule_traces(plan, root, config_, faulted, faults_, fc, out);
 
-  // Phase 3b (parallel): the traces are built in fixed-size blocks — the
+  // Phase 3b (parallel): simulate the selected traceroutes. Probe artifacts
+  // (stars, silent clients, missing PTRs) draw from their own fork stream,
+  // keyed on the test id, so the records are independent of worker count
+  // and of the scheduling draws above. A trace that drew the probe-loss
+  // fault runs with an elevated star probability (a lossy probe path).
+  // The traces are built in fixed-size blocks — the
   // block split depends only on `traced`, never on the worker count — each
   // block writing a private arena and private columns; a serial merge in
   // block order then concatenates them, so the corpus layout is
@@ -630,20 +511,9 @@ ColumnarCampaignResult NdtCampaign::run_columnar(
       }
       topo::IpAddr dst = topo.host(p.client).addr;
       route::FlowKey key = trace_flow_key(topo, p.server, dst, opts, probe_rng);
-      // Mirror of run_traceroute's adversary hook, kept draw-aligned so the
-      // columnar engine stays bit-identical to the classic one.
-      const sim::AdversaryScenario* adv =
-          opts.adversary != nullptr && opts.adversary->enabled()
-              ? opts.adversary
-              : nullptr;
-      bool post_view =
-          adv != nullptr &&
-          adv->rewrite_trace_key(p.server, dst, tr_start, key);
       std::shared_ptr<const route::RouterPath> path =
-          post_view ? adv->post_cache().path_shared(p.server, dst, key)
-          : cache_ ? cache_->path_shared(p.server, dst, key)
-                   : std::make_shared<const route::RouterPath>(
-                         fwd_->path(p.server, dst, key));
+          acquire_path(*fwd_, cache_, opts.adversary, /*is_trace=*/true,
+                       p.server, dst, tr_start, key);
       blk.path.push_back(path);
       blk.key.push_back(route::PathCache::make_key(p.server, dst, key));
       if (!path->valid) {

@@ -6,7 +6,8 @@
 // that silently skips traceroutes when busy, which is why only ~71-76% of
 // NDT tests could be matched to a traceroute.
 //
-// The campaign engine runs in three phases:
+// There is one campaign engine, NdtCampaign::run_columnar, writing the
+// columnar corpus of measure/corpus.h. It runs in three phases:
 //   1. a sequential planning pass expanding requests into a flat test plan
 //      (server selection per request);
 //   2. a parallel test-simulation phase sharded across worker threads, each
@@ -17,6 +18,8 @@
 //      the same server finished — inherently time-ordered per server),
 //      then a parallel pass simulating the selected traceroutes, whose
 //      probe artifacts draw from their own per-test fork stream.
+// NdtCampaign::run returns the same campaign as records (NdtRecord,
+// TracerouteRecord): it materializes run_columnar's result in parallel.
 
 #include <memory>
 #include <vector>
@@ -145,18 +148,18 @@ class NdtCampaign {
     adversary_ = adversary;
   }
 
-  // Executes the schedule (must be time-sorted). Results are deterministic
-  // given the schedule and rng seed, independent of config.threads.
-  CampaignResult run(const std::vector<gen::TestRequest>& schedule,
-                     util::Rng& rng) const;
-
-  // Columnar twin of run(): same phases, same per-item fork streams, same
-  // draw sequences — the output is field-for-field identical to run()'s
-  // (ColumnarCampaignResult::materialize() reconstructs it bit-exactly) but
-  // lands in SoA columns with interned paths and arena-backed hop spans,
-  // cutting allocation and memory by an order of magnitude at 1M+ tests.
+  // Executes the schedule (must be time-sorted) into SoA columns with
+  // interned paths and arena-backed hop spans, which cuts allocation and
+  // memory by an order of magnitude at 1M+ tests compared with records.
+  // Results are deterministic given the schedule and rng seed, independent
+  // of config.threads.
   ColumnarCampaignResult run_columnar(
       const std::vector<gen::TestRequest>& schedule, util::Rng& rng) const;
+
+  // run_columnar(schedule, rng) materialized into records, in parallel over
+  // config.threads workers.
+  CampaignResult run(const std::vector<gen::TestRequest>& schedule,
+                     util::Rng& rng) const;
 
   // Runs a single test at the given time against a chosen server.
   NdtRecord run_single(std::uint32_t client, std::uint32_t server,
@@ -165,7 +168,7 @@ class NdtCampaign {
 
   // Copy-free core of run_single: the scalar measurement plus shared
   // ownership of the (possibly invalid) downstream path and the path's
-  // cache identity, so columnar builders intern the path instead of copying
+  // cache identity, so the campaign interns the path instead of copying
   // its three vectors into every record. Draw sequence is identical to
   // run_single's (bucket, then the throughput model when the path is valid).
   struct SingleOutcome {

@@ -21,25 +21,32 @@ const TracerouteMetrics& traceroute_metrics() {
   return m;
 }
 
-// Sink producing the classic AoS record (vector of TraceHop with the PTR
+// Sink producing a TracerouteRecord (vector of TraceHop with the PTR
 // string resolved eagerly).
 struct RecordSink {
   const topo::Topology& topo;
   TracerouteRecord& rec;
   void hop(int ttl, bool responded, topo::IpAddr addr, double rtt_ms,
            topo::InterfaceId iface) {
-    TraceHop th;
-    th.ttl = ttl;
-    th.responded = responded;
-    if (responded) {
-      th.addr = addr;
-      th.rtt_ms = rtt_ms;
-      if (iface.valid()) th.dns_name = topo.iface(iface).dns_name;
-    }
-    rec.hops.push_back(std::move(th));
+    rec.hops.push_back(
+        make_trace_hop(topo, ttl, responded, addr, rtt_ms, iface));
   }
 };
 }  // namespace
+
+TraceHop make_trace_hop(const topo::Topology& topo, int ttl, bool responded,
+                        topo::IpAddr addr, double rtt_ms,
+                        topo::InterfaceId iface) {
+  TraceHop th;
+  th.ttl = ttl;
+  th.responded = responded;
+  if (responded) {
+    th.addr = addr;
+    th.rtt_ms = rtt_ms;
+    if (iface.valid()) th.dns_name = topo.iface(iface).dns_name;
+  }
+  return th;
+}
 
 void note_traceroute_metrics(std::size_t hops, std::size_t stars,
                              bool reached_dst, bool unreachable) {
@@ -78,6 +85,24 @@ route::FlowKey trace_flow_key(const topo::Topology& topo,
   return key;
 }
 
+std::shared_ptr<const route::RouterPath> acquire_path(
+    const route::Forwarder& fwd, const route::PathCache* cache,
+    const sim::AdversaryScenario* adversary, bool is_trace,
+    std::uint32_t src_host, topo::IpAddr dst, double utc_time_hours,
+    route::FlowKey& key) {
+  bool post_view = false;
+  if (adversary != nullptr && adversary->enabled()) {
+    post_view = is_trace ? adversary->rewrite_trace_key(src_host, dst,
+                                                        utc_time_hours, key)
+                         : adversary->rewrite_test_key(src_host, dst,
+                                                       utc_time_hours, key);
+  }
+  if (post_view) return adversary->post_cache().path_shared(src_host, dst, key);
+  if (cache) return cache->path_shared(src_host, dst, key);
+  return std::make_shared<const route::RouterPath>(
+      fwd.path(src_host, dst, key));
+}
+
 TracerouteRecord run_traceroute(const topo::Topology& topo,
                                 const route::Forwarder& fwd,
                                 std::uint32_t src_host, topo::IpAddr dst,
@@ -91,20 +116,8 @@ TracerouteRecord run_traceroute(const topo::Topology& topo,
   rec.utc_time_hours = utc_time_hours;
 
   route::FlowKey key = trace_flow_key(topo, src_host, dst, options, rng);
-  const sim::AdversaryScenario* adv =
-      options.adversary != nullptr && options.adversary->enabled()
-          ? options.adversary
-          : nullptr;
-  bool post_view =
-      adv != nullptr && adv->rewrite_trace_key(src_host, dst,
-                                               utc_time_hours, key);
-  if (post_view) {
-    rec.truth = *adv->post_cache().path_shared(src_host, dst, key);
-  } else if (cache) {
-    rec.truth = *cache->path_shared(src_host, dst, key);
-  } else {
-    rec.truth = fwd.path(src_host, dst, key);
-  }
+  rec.truth = *acquire_path(fwd, cache, options.adversary, /*is_trace=*/true,
+                            src_host, dst, utc_time_hours, key);
   if (!rec.truth.valid) {
     note_traceroute_metrics(0, 0, false, true);
     return rec;

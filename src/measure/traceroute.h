@@ -10,12 +10,12 @@
 // Artifacts modeled: unresponsive hops (stars), probes suppressed near the
 // client (home-gateway firewalls), and missing PTR records.
 //
-// The hop-production loop is a template over a sink so the classic
-// vector-of-TraceHop record and the columnar arena-backed corpus
-// (measure/corpus.h) are produced by the same code — the random draws are
-// shared instruction-for-instruction, which is what keeps the two layouts
-// bit-identical.
+// The hop-production loop is a template over a sink: run_traceroute fills
+// a vector-of-TraceHop record directly, while the NDT campaign packs hops
+// into its arena-backed corpus (measure/corpus.h) and materializes the
+// same records from it on demand — one draw sequence behind both.
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -71,6 +71,19 @@ route::FlowKey trace_flow_key(const topo::Topology& topo,
                               const TracerouteOptions& options,
                               util::Rng& rng);
 
+// The one path-acquisition routine of the measurement layer, shared by NDT
+// data flows (is_trace = false) and traceroute probes (is_trace = true).
+// It applies the adversary's test or trace key rewrite to `key` in place,
+// then resolves the path through the adversary's post-epoch view when the
+// rewrite asks for it, else through `cache`, else straight from `fwd`. It
+// draws nothing from any campaign stream, so callers keep their draw order.
+// A null or disabled adversary leaves `key` untouched.
+std::shared_ptr<const route::RouterPath> acquire_path(
+    const route::Forwarder& fwd, const route::PathCache* cache,
+    const sim::AdversaryScenario* adversary, bool is_trace,
+    std::uint32_t src_host, topo::IpAddr dst, double utc_time_hours,
+    route::FlowKey& key);
+
 // Runs one traceroute along the forwarder's path. When a PathCache is
 // given, path construction is memoized through it (results are identical;
 // Paris traceroutes use a fixed flow key per (src, dst) pair, so repeat
@@ -83,8 +96,16 @@ TracerouteRecord run_traceroute(const topo::Topology& topo,
                                 util::Rng& rng,
                                 const route::PathCache* cache = nullptr);
 
+// A hop as TracerouteRecord stores it. Address and RTT are kept only when
+// the hop responded; the PTR name comes from the replying interface, and
+// an invalid id (stars, management addresses, the destination host) means
+// no PTR record.
+TraceHop make_trace_hop(const topo::Topology& topo, int ttl, bool responded,
+                        topo::IpAddr addr, double rtt_ms,
+                        topo::InterfaceId iface);
+
 // Bumps the process-wide traceroute counters exactly as run_traceroute
-// does; exposed for alternative sinks (the columnar corpus builder).
+// does; exposed for the campaign's packed-hop sink.
 void note_traceroute_metrics(std::size_t hops, std::size_t stars,
                              bool reached_dst, bool unreachable);
 

@@ -6,39 +6,6 @@
 
 namespace netcong::serve {
 
-namespace {
-
-double event_time(const IngestEvent& ev) {
-  if (const auto* t = std::get_if<measure::NdtRecord>(&ev)) {
-    return t->utc_time_hours;
-  }
-  return std::get<measure::TracerouteRecord>(ev).utc_time_hours;
-}
-
-// Interleaves the two per-kind streams into arrival order. stable_sort with
-// a time-then-kind key keeps each stream's internal order and puts the NDT
-// result ahead of the traceroute it triggered (equal timestamps).
-std::vector<IngestEvent> merge_streams(std::vector<IngestEvent> log) {
-  std::stable_sort(log.begin(), log.end(),
-                   [](const IngestEvent& a, const IngestEvent& b) {
-                     double ta = event_time(a), tb = event_time(b);
-                     if (ta != tb) return ta < tb;
-                     return a.index() < b.index();
-                   });
-  return log;
-}
-
-}  // namespace
-
-std::vector<IngestEvent> event_log_from(
-    const measure::CampaignResult& result) {
-  std::vector<IngestEvent> log;
-  log.reserve(result.tests.size() + result.traceroutes.size());
-  for (const auto& t : result.tests) log.emplace_back(t);
-  for (const auto& tr : result.traceroutes) log.emplace_back(tr);
-  return merge_streams(std::move(log));
-}
-
 std::vector<IngestEvent> event_log_from(
     const measure::ColumnarCampaignResult& result) {
   std::vector<IngestEvent> log;
@@ -50,7 +17,16 @@ std::vector<IngestEvent> event_log_from(
     log.emplace_back(
         result.traceroutes.materialize(i, *result.topo, result.paths));
   }
-  return merge_streams(std::move(log));
+  // Interleaves the two per-kind streams into arrival order. stable_sort
+  // with a time-then-kind key keeps each stream's internal order and puts
+  // the NDT result ahead of the traceroute it triggered (equal timestamps).
+  std::stable_sort(log.begin(), log.end(),
+                   [](const IngestEvent& a, const IngestEvent& b) {
+                     double ta = event_time(a), tb = event_time(b);
+                     if (ta != tb) return ta < tb;
+                     return a.index() < b.index();
+                   });
+  return log;
 }
 
 std::uint64_t fingerprint(const std::vector<IngestEvent>& log,

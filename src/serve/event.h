@@ -8,11 +8,8 @@
 // prefix of the event log" quantifies over in the snapshot-equivalence
 // obligation.
 //
-// Event logs can be derived from either campaign engine — the classic AoS
-// CampaignResult or the columnar ColumnarCampaignResult — and the two
-// derivations are bit-identical (the columnar materialization contract),
-// so replay-based tests can drive the service from whichever engine
-// produced the data.
+// Event logs are derived from the campaign engine's columnar output
+// (NdtCampaign::run_columnar): each event is one materialized record.
 
 #include <cstdint>
 #include <variant>
@@ -36,16 +33,19 @@ inline bool is_trace(const IngestEvent& ev) {
   return std::holds_alternative<measure::TracerouteRecord>(ev);
 }
 
-// Merges a campaign's tests and traceroutes into one arrival-ordered event
-// log: ascending utc_time_hours, NDT results before traceroutes at equal
-// times, original order preserved within each stream (both are already
-// time-sorted by the campaign engine; a stable sort restores global order
-// otherwise).
-std::vector<IngestEvent> event_log_from(const measure::CampaignResult& result);
+// Arrival time of an event: its record's utc_time_hours.
+inline double event_time(const IngestEvent& ev) {
+  if (const auto* t = std::get_if<measure::NdtRecord>(&ev)) {
+    return t->utc_time_hours;
+  }
+  return std::get<measure::TracerouteRecord>(ev).utc_time_hours;
+}
 
-// Columnar twin: materializes each record and produces the identical log
-// (same events, same order, same bytes) as the classic overload would for
-// the equivalent CampaignResult.
+// Materializes a campaign's tests and traceroutes into one arrival-ordered
+// event log: ascending utc_time_hours, NDT results before traceroutes at
+// equal times, original order preserved within each stream (both are
+// already time-sorted by the campaign engine; a stable sort restores
+// global order otherwise).
 std::vector<IngestEvent> event_log_from(
     const measure::ColumnarCampaignResult& result);
 

@@ -131,17 +131,18 @@ util::Status FrameListener::start(std::uint16_t port) {
   port_ = ntohs(addr.sin_port);
   listen_fd_ = fd;
   running_.store(true);
-  accept_thread_ = std::thread([this] { accept_loop(); });
+  // The accept thread gets its own copy of the fd: listen_fd_ belongs to
+  // the thread calling start()/stop().
+  accept_thread_ = std::thread([this, fd] { accept_loop(fd); });
   return util::ok_status();
 }
 
 void FrameListener::stop() {
   bool was_running = running_.exchange(false);
-  if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
+  // shutdown() wakes the accept thread out of accept(); the fd is closed
+  // only after that thread has exited, so accept() never runs on a closed
+  // (and possibly already reused) descriptor.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   if (was_running) {
     // Kick live connections out of recv(); their threads then observe
     // running_ == false and exit.
@@ -149,6 +150,10 @@ void FrameListener::stop() {
     for (int fd : live_fds_) ::shutdown(fd, SHUT_RDWR);
   }
   if (accept_thread_.joinable()) accept_thread_.join();
+  if (listen_fd_ >= 0) {
+    ::close(listen_fd_);
+    listen_fd_ = -1;
+  }
   std::vector<std::thread> threads;
   {
     std::lock_guard<std::mutex> lock(conn_mu_);
@@ -174,12 +179,12 @@ void FrameListener::track(int fd, bool add) {
   }
 }
 
-void FrameListener::accept_loop() {
+void FrameListener::accept_loop(int listen_fd) {
   while (running_.load()) {
-    int fd = ::accept(listen_fd_, nullptr, nullptr);
+    int fd = ::accept(listen_fd, nullptr, nullptr);
     if (fd < 0) {
       if (errno == EINTR) continue;
-      break;  // listener closed by stop()
+      break;  // listener shut down by stop()
     }
     if (!running_.load()) {
       ::close(fd);

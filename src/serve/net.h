@@ -102,7 +102,7 @@ class FrameListener {
   NetCounters counters() const;
 
  private:
-  void accept_loop();
+  void accept_loop(int listen_fd);
   void handle_connection(int fd, std::uint64_t conn_id);
   void track(int fd, bool add);
 

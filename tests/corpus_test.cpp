@@ -1,8 +1,9 @@
-// Columnar-corpus tests: the SoA campaign engine (run_columnar) must be
-// bit-identical to the classic AoS engine across worker counts, path-cache
-// attachment, and fault injection — pinned by golden fingerprints captured
-// from the pre-migration seed build — plus PathPool interning semantics and
-// the bounded-batch streaming helper's edge cases.
+// Columnar-corpus tests: the campaign engine (run_columnar) and its
+// materialized view (run) must reproduce golden fingerprints across worker
+// counts, path-cache attachment, fault injection, adversaries and campaign
+// options — pinned from earlier builds' record-producing engine — plus
+// PathPool interning semantics and the bounded-batch streaming helper's
+// edge cases.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include "route/bgp.h"
 #include "route/forwarding.h"
 #include "route/path_cache.h"
+#include "sim/adversary.h"
 #include "sim/faults.h"
 #include "sim/throughput.h"
 #include "util/rng.h"
@@ -77,7 +79,7 @@ measure::CampaignConfig config_with_threads(int threads) {
   return cc;
 }
 
-std::uint64_t classic_fp(int threads, bool cached, bool faulted) {
+std::uint64_t records_fp(int threads, bool cached, bool faulted) {
   measure::NdtCampaign campaign(rig().world, rig().fwd, rig().model,
                                 rig().mlab, config_with_threads(threads));
   route::PathCache cache(rig().fwd);
@@ -102,9 +104,9 @@ measure::ColumnarCampaignResult columnar_run(int threads, bool cached,
 }
 
 TEST(CorpusGolden, ClassicMatchesSeedBuild) {
-  EXPECT_EQ(classic_fp(0, false, false), kGoldenTiny);
-  EXPECT_EQ(classic_fp(0, true, false), kGoldenTiny);  // cache is transparent
-  EXPECT_EQ(classic_fp(0, true, true), kGoldenTinyFaulted);
+  EXPECT_EQ(records_fp(0, false, false), kGoldenTiny);
+  EXPECT_EQ(records_fp(0, true, false), kGoldenTiny);  // cache is transparent
+  EXPECT_EQ(records_fp(0, true, true), kGoldenTinyFaulted);
 }
 
 TEST(CorpusGolden, ColumnarMatchesClassicAcrossWorkerCounts) {
@@ -116,13 +118,86 @@ TEST(CorpusGolden, ColumnarMatchesClassicAcrossWorkerCounts) {
   EXPECT_EQ(measure::fingerprint(faulted), kGoldenTinyFaulted);
 }
 
+// Pins for the campaign configurations the two golden rows above leave
+// untouched: each adversary family, churn composed with faults, the
+// Battle-for-the-Net multi-server mode, classic (non-Paris) traceroute,
+// and queueing-aware hop RTTs. Captured on this rig (3 workers, cache on)
+// from run() while it still simulated records itself; run() and
+// run_columnar() must both keep reproducing them.
+struct CampaignVariant {
+  const char* name;
+  std::uint64_t golden;
+  sim::AdversaryConfig adversary;  // default: disabled (honest routing)
+  bool faulted = false;
+  int servers_per_request = 1;
+  bool paris = true;
+  bool traffic = false;
+};
+
+std::vector<CampaignVariant> campaign_variants() {
+  constexpr double kEpoch = 36.0;  // mid-way through the 3-day schedule
+  using sim::AdversaryConfig;
+  return {
+      {"churn", 0x9aa43a18950c30e3ull, AdversaryConfig::churn(kEpoch, 0.5)},
+      {"withdrawal", 0xc1a68330aaba3a24ull,
+       AdversaryConfig::withdrawal(kEpoch, 3)},
+      {"asymmetry", 0x5251b45447c154b4ull, AdversaryConfig::asymmetric(0.5)},
+      {"misleading_stars", 0x98c03263440181a3ull,
+       AdversaryConfig::misleading_stars(0.2)},
+      {"churn_faulted", 0xb1031611c69b3085ull,
+       AdversaryConfig::churn(kEpoch, 0.5), true},
+      {"servers_per_request_3", 0x251edbb054bb4b40ull, {}, false, 3},
+      {"non_paris", 0xf20c69c6be4ae816ull, {}, false, 1, false},
+      {"traffic", 0xcb4a00f0710925f5ull, {}, false, 1, true, true},
+  };
+}
+
+template <typename Run>
+std::uint64_t run_variant(const CampaignVariant& v, Run&& run) {
+  measure::CampaignConfig cc = config_with_threads(3);
+  cc.servers_per_request = v.servers_per_request;
+  cc.traceroute.paris = v.paris;
+  if (v.traffic) cc.traceroute.traffic = rig().world.traffic.get();
+  measure::NdtCampaign campaign(rig().world, rig().fwd, rig().model,
+                                rig().mlab, cc);
+  route::PathCache cache(rig().fwd);
+  campaign.set_path_cache(&cache);
+  sim::FaultInjector faults(sim::FaultConfig::scaled(0.3), 4242);
+  if (v.faulted) campaign.set_faults(&faults);
+  sim::AdversaryScenario adversary(*rig().world.topo, rig().bgp, v.adversary,
+                                   7);
+  campaign.set_adversary(&adversary);
+  util::Rng rng(99);
+  return measure::fingerprint(run(campaign, rig().schedule(99), rng));
+}
+
+TEST(CorpusGolden, VariantsMatchPins) {
+  for (const CampaignVariant& v : campaign_variants()) {
+    std::uint64_t records =
+        run_variant(v, [](auto& c, const auto& s, auto& r) {
+          return c.run(s, r);
+        });
+    std::uint64_t columnar =
+        run_variant(v, [](auto& c, const auto& s, auto& r) {
+          return c.run_columnar(s, r);
+        });
+    EXPECT_EQ(records, v.golden) << v.name;
+    EXPECT_EQ(columnar, v.golden) << v.name;
+  }
+}
+
 TEST(CorpusGolden, MaterializeRoundTripsBitExactly) {
-  auto col = columnar_run(2, true, false);
-  measure::CampaignResult aos = col.materialize();
-  EXPECT_EQ(measure::fingerprint(aos), kGoldenTiny);
-  ASSERT_EQ(aos.tests.size(), col.tests.size());
-  ASSERT_EQ(aos.traceroutes.size(), col.traceroutes.size());
-  EXPECT_EQ(aos.quality.rows().size(), col.quality.rows().size());
+  for (int threads : {1, 3}) {
+    auto col = columnar_run(2, true, false);
+    const std::size_t tests = col.tests.size();
+    const std::size_t traces = col.traceroutes.size();
+    const std::size_t rows = col.quality.rows().size();
+    measure::CampaignResult aos = std::move(col).materialize(threads);
+    EXPECT_EQ(measure::fingerprint(aos), kGoldenTiny) << threads << " workers";
+    ASSERT_EQ(aos.tests.size(), tests);
+    ASSERT_EQ(aos.traceroutes.size(), traces);
+    EXPECT_EQ(aos.quality.rows().size(), rows);
+  }
 }
 
 TEST(CorpusLayout, TraceSpansAndPathPool) {
@@ -153,7 +228,7 @@ TEST(CorpusLayout, TraceSpansAndPathPool) {
 
 TEST(CorpusLayout, DiurnalColumnarOverloadMatchesClassic) {
   auto col = columnar_run(2, true, false);
-  measure::CampaignResult aos = col.materialize();
+  measure::CampaignResult aos = columnar_run(2, true, false).materialize();
 
   auto source_of = [](const measure::NdtRecord& t) {
     return "as" + std::to_string(t.server_asn);

@@ -68,7 +68,7 @@ const std::vector<IngestEvent>& event_log() {
     measure::NdtCampaign campaign(s.world, s.fwd, s.model, s.mlab,
                                   measure::CampaignConfig{});
     util::Rng rng(20170401);
-    return event_log_from(campaign.run(schedule, rng));
+    return event_log_from(campaign.run_columnar(schedule, rng));
   }();
   return log;
 }

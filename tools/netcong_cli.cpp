@@ -454,26 +454,15 @@ int cmd_scale(const Args& args) {
   };
 
   auto start = std::chrono::steady_clock::now();
-  std::size_t tests = 0, traceroutes = 0, paths = 0;
-  if (args.has("classic")) {
-    measure::CampaignResult result = campaign.run(schedule, rng);
-    tests = result.tests.size();
-    traceroutes = result.traceroutes.size();
-  } else {
-    measure::ColumnarCampaignResult result =
-        campaign.run_columnar(schedule, rng);
-    tests = result.tests.size();
-    traceroutes = result.traceroutes.size();
-    paths = result.paths.size();
-  }
+  measure::ColumnarCampaignResult result =
+      campaign.run_columnar(schedule, rng);
   double wall_s = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - start)
                       .count();
+  std::size_t tests = result.tests.size();
 
-  std::printf("engine: %s\n", args.has("classic") ? "classic" : "columnar");
-  std::printf("tests: %zu  traceroutes: %zu", tests, traceroutes);
-  if (paths != 0) std::printf("  paths interned: %zu", paths);
-  std::printf("\n");
+  std::printf("tests: %zu  traceroutes: %zu  paths interned: %zu\n", tests,
+              result.traceroutes.size(), result.paths.size());
   std::printf("wall: %.2f s  tests/sec: %.0f  peak rss: %.1f MiB\n", wall_s,
               static_cast<double>(tests) / wall_s, peak_rss_mb());
   return 0;
@@ -590,7 +579,7 @@ int cmd_serve(const Args& args) {
                                 measure::CampaignConfig{});
   util::Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 42)) + 1);
   std::vector<serve::IngestEvent> log =
-      serve::event_log_from(campaign.run(schedule, rng));
+      serve::event_log_from(campaign.run_columnar(schedule, rng));
 
   double rate = args.get_double("rate", 0.0);
   auto pace = [&](std::size_t i,
@@ -1082,7 +1071,7 @@ constexpr Subcommand kSubcommands[] = {
      "access|all --tests N --out FILE",
      &cmd_pathmodel},
     {"scale", "columnar-engine scaling probe: tests/sec and peak RSS",
-     "--tests N --threads N --classic", &cmd_scale},
+     "--tests N --threads N", &cmd_scale},
     {"serve", "replay a campaign through the always-on ingest service",
      "--tests N --shards N --queue N --policy block|drop --rate X "
      "--snapshots N --listen PORT --connect HOST:PORT --wal-dir DIR "
