@@ -3,15 +3,14 @@
 // congestion control, scores the eva-style path-model classifier on
 // congested-vs-not against the oracle-picked fixed-threshold baseline, and
 // reports three-way label accuracy plus access-vs-interdomain localization
-// accuracy per CC. Emits BENCH_pathmodel.json with scores, wall times, and
-// peak RSS.
+// accuracy per CC. Exits nonzero unless the path model beats the baseline
+// on every CC.
 //
 //   NETCONG_PATHMODEL_TESTS=<n>  instances per scenario class (default 6;
 //                                the CI smoke test sets 2)
 
 #include <cstdio>
 #include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "common.h"
@@ -33,7 +32,6 @@ int main() {
   namespace sp = sim::packet;
 
   int per_class = per_class_from_env();
-  bench::BenchRecorder recorder("pathmodel");
 
   bench::print_header("§6.3", "path-model classifier vs fixed threshold");
   std::printf("  %d instances per scenario class, 4 classes, 3 CCs\n\n",
@@ -48,11 +46,8 @@ int main() {
   for (sp::CcAlgo cc :
        {sp::CcAlgo::kNewReno, sp::CcAlgo::kCubic, sp::CcAlgo::kBbr}) {
     const char* name = sp::cc_algo_name(cc);
-    std::vector<core::PathModelCase> cases;
-    recorder.time(std::string("suite_") + name, [&] {
-      cases = core::run_pathmodel_suite(cc, core::PathModelScenario::kAll,
-                                        per_class);
-    });
+    std::vector<core::PathModelCase> cases = core::run_pathmodel_suite(
+        cc, core::PathModelScenario::kAll, per_class);
     core::PathModelScore score = core::score_pathmodel(cases);
     std::printf(
         "  %-6s | %9.3f %9.3f %7.3f | %12.3f | %9.3f | %3d/%-3d %.3f\n",
@@ -63,20 +58,6 @@ int main() {
     if (score.congested.f1 <= score.baseline_best_f1) {
       pathmodel_wins_everywhere = false;
     }
-
-    std::string prefix = std::string("score_") + name;
-    recorder.stat(prefix, "cases", static_cast<double>(cases.size()));
-    recorder.stat(prefix, "precision", score.congested.precision);
-    recorder.stat(prefix, "recall", score.congested.recall);
-    recorder.stat(prefix, "f1", score.congested.f1);
-    recorder.stat(prefix, "baseline_best_f1", score.baseline_best_f1);
-    recorder.stat(prefix, "baseline_best_threshold",
-                  score.baseline_best_threshold);
-    recorder.stat(prefix, "label_accuracy", score.label_accuracy);
-    recorder.stat(prefix, "localization_accuracy",
-                  score.localization_accuracy);
-    recorder.stat(prefix, "localization_total",
-                  static_cast<double>(score.localization_total));
   }
 
   bench::print_footnote(
@@ -86,8 +67,5 @@ int main() {
       "confounds (the paper's §6 warning).");
   std::printf("\n  pathmodel beats threshold baseline on every CC: %s\n",
               pathmodel_wins_everywhere ? "yes" : "NO");
-
-  recorder.stat("resources", "peak_rss_mb", bench::peak_rss_mb());
-  recorder.write();
   return pathmodel_wins_everywhere ? 0 : 1;
 }

@@ -1,12 +1,9 @@
 #include "common.h"
 
-#include <sys/resource.h>
-
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
-#include "obs/metrics.h"
 #include "util/strings.h"
 #include "measure/alexa.h"
 #include "measure/ark.h"
@@ -120,60 +117,6 @@ void print_footnote(const std::string& text) {
 
 std::string pct(double value, int decimals) {
   return util::format("%.*f%%", decimals, value);
-}
-
-double peak_rss_mb() {
-  struct rusage ru{};
-  if (getrusage(RUSAGE_SELF, &ru) != 0) return 0.0;
-  // Linux reports ru_maxrss in kilobytes.
-  return static_cast<double>(ru.ru_maxrss) / 1024.0;
-}
-
-BenchRecorder::Entry& BenchRecorder::entry(const std::string& name) {
-  for (Entry& e : entries_) {
-    if (e.name == name) return e;
-  }
-  entries_.push_back(Entry{name, 0.0, {}});
-  return entries_.back();
-}
-
-void BenchRecorder::record(const std::string& name, double wall_ms) {
-  entry(name).wall_ms = wall_ms;
-}
-
-void BenchRecorder::stat(const std::string& name, const std::string& key,
-                         double value) {
-  entry(name).stats.emplace_back(key, value);
-}
-
-void BenchRecorder::write() const {
-  std::string path = "BENCH_" + label_ + ".json";
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (!f) {
-    std::fprintf(stderr, "BenchRecorder: cannot open %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"label\": \"%s\",\n  \"entries\": [\n",
-               label_.c_str());
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    const Entry& e = entries_[i];
-    std::fprintf(f, "    {\"name\": \"%s\", \"wall_ms\": %.3f",
-                 e.name.c_str(), e.wall_ms);
-    for (const auto& [key, value] : e.stats) {
-      std::fprintf(f, ", \"%s\": %.6g", key.c_str(), value);
-    }
-    std::fprintf(f, "}%s\n", i + 1 < entries_.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n  \"peak_rss_mb\": %.3f", peak_rss_mb());
-  // When the bench ran with metrics on, ship the snapshot alongside the
-  // timings so run_bench.sh's aggregate has the counters in one file.
-  if (obs::MetricsRegistry::global().enabled()) {
-    std::string metrics = obs::MetricsRegistry::global().snapshot().to_json();
-    std::fprintf(f, ",\n  \"metrics\": %s", metrics.c_str());
-  }
-  std::fprintf(f, "\n}\n");
-  std::fclose(f);
-  std::printf("bench timings written to %s\n", path.c_str());
 }
 
 }  // namespace netcong::bench

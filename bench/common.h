@@ -1,17 +1,12 @@
 #pragma once
 
 // Shared scaffolding for the experiment benches: a generated world with the
-// full measurement/inference stack on top, output helpers that print each
-// artifact with its paper-reported counterpart, and a timing harness that
-// wraps artifacts in wall-clock + cache-stat instrumentation and emits a
-// machine-readable BENCH_<label>.json so successive PRs have a perf
-// trajectory.
+// full measurement/inference stack on top, and output helpers that print
+// each artifact with its paper-reported counterpart. Timing lives in
+// perfbench/, not here.
 
-#include <chrono>
 #include <map>
 #include <string>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "core/coverage.h"
@@ -75,66 +70,5 @@ std::vector<core::VpCoverage> run_coverage(Context& ctx, bool snapshot_2017,
 void print_header(const std::string& artifact, const std::string& title);
 void print_footnote(const std::string& text);
 std::string pct(double value, int decimals = 1);
-
-// Peak resident set size of this process so far, in MiB (getrusage
-// ru_maxrss). Monotone over the process lifetime — sample it right after
-// the phase whose footprint you want to attribute.
-double peak_rss_mb();
-
-// --- Timing harness -------------------------------------------------------
-
-class Stopwatch {
- public:
-  Stopwatch() : start_(std::chrono::steady_clock::now()) {}
-  void reset() { start_ = std::chrono::steady_clock::now(); }
-  double elapsed_ms() const {
-    return std::chrono::duration<double, std::milli>(
-               std::chrono::steady_clock::now() - start_)
-        .count();
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
-
-// Collects named wall-clock measurements plus free-form numeric stats
-// (cache hit rates, thread counts, sizes) and writes them as
-// BENCH_<label>.json in the working directory.
-class BenchRecorder {
- public:
-  explicit BenchRecorder(std::string label) : label_(std::move(label)) {}
-
-  // Times fn() and records the duration under `name`; returns fn's result.
-  template <typename Fn>
-  auto time(const std::string& name, Fn&& fn) {
-    if constexpr (std::is_void_v<std::invoke_result_t<Fn&>>) {
-      Stopwatch sw;
-      fn();
-      record(name, sw.elapsed_ms());
-    } else {
-      Stopwatch sw;
-      auto result = fn();
-      record(name, sw.elapsed_ms());
-      return result;
-    }
-  }
-
-  void record(const std::string& name, double wall_ms);
-  void stat(const std::string& name, const std::string& key, double value);
-
-  // Writes BENCH_<label>.json and prints its path.
-  void write() const;
-
- private:
-  struct Entry {
-    std::string name;
-    double wall_ms = 0.0;
-    std::vector<std::pair<std::string, double>> stats;
-  };
-  Entry& entry(const std::string& name);
-
-  std::string label_;
-  std::vector<Entry> entries_;
-};
 
 }  // namespace netcong::bench

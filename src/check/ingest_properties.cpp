@@ -77,17 +77,6 @@ std::string check_snapshot_equals_batch(const GeneratorConfig& cfg) {
   util::Rng rng(cfg.seed ^ 0x16e57ull);
   auto log = serve::event_log_from(campaign.run_columnar(schedule, rng));
 
-  // The log must be in arrival order: non-decreasing timestamps, and an
-  // NDT result ahead of a traceroute stamped with the same time.
-  for (std::size_t i = 1; i < log.size(); ++i) {
-    double prev = serve::event_time(log[i - 1]);
-    double cur = serve::event_time(log[i]);
-    if (cur < prev ||
-        (cur == prev && serve::is_trace(log[i - 1]) && serve::is_ndt(log[i]))) {
-      return format("event log out of arrival order at event %zu", i);
-    }
-  }
-
   topo::Asn vp_as =
       s.world.ark_vps.empty() ? 0 : t.host(s.world.ark_vps[0]).asn;
   bool with_borders = !s.world.ark_vps.empty();

@@ -17,8 +17,7 @@
 // scheduling orders, and path-cache on/off.
 //
 // The disabled injector is near-zero-cost: every site check short-circuits
-// on `enabled()` before touching an Rng (bench_campaign's `faulted` variant
-// holds this below 2% overhead).
+// on `enabled()` before touching an Rng.
 
 #include <cstdint>
 #include <string>

@@ -18,15 +18,13 @@ cmake --build "$BUILD" -j "$(nproc)"
 # (randomized worlds through every layer), the serve suite (queued events
 # moved across threads and merged evidence stores — wal_test/net_test ride
 # the same label, putting the frame codec, WAL segment I/O, and socket
-# listener under memory checking), the bench_scale smoke (the
-# arena/columnar corpus), the pathmodel suite (multi-CC packet sims,
+# listener under memory checking), the bench smokes (pathmodel and
+# adversary scoring end to end), the pathmodel suite (multi-CC packet sims,
 # whose per-flow trace buffers and downsampling indices are worth bounds
 # checking), and the adversary suite (phantom-router relabeling and
 # crossing-series bookkeeping over shifting corpora) — all at reduced
 # budgets so the instrumented run stays fast.
 NETCONG_PBT_ITERS="${NETCONG_PBT_ITERS:-3}" \
-NETCONG_SCALE_TESTS="${NETCONG_SCALE_TESTS:-500}" \
-NETCONG_INGEST_EVENTS="${NETCONG_INGEST_EVENTS:-500}" \
 NETCONG_PATHMODEL_TESTS="${NETCONG_PATHMODEL_TESTS:-1}" \
 NETCONG_ADVERSARY_DAYS="${NETCONG_ADVERSARY_DAYS:-2}" \
   ctest --test-dir "$BUILD" -L 'asan|obs|pbt|bench|serve|pathmodel|adversary' \
