@@ -141,17 +141,11 @@ constexpr std::size_t kCycleLen = sizeof(kCycleGains) / sizeof(kCycleGains[0]);
 }  // namespace
 
 double BbrCc::btlbw_pps() const {
-  double best = 0.0;
-  for (const auto& [round, rate] : btlbw_window_) best = std::max(best, rate);
-  return best;
+  return btlbw_window_.empty() ? 0.0 : btlbw_window_.front().second;
 }
 
 double BbrCc::rtprop_s() const {
-  double best = 0.0;
-  for (const auto& [t, rtt] : rtprop_window_) {
-    if (best == 0.0 || rtt < best) best = rtt;
-  }
-  return best;
+  return rtprop_window_.empty() ? 0.0 : rtprop_window_.front().second;
 }
 
 double BbrCc::cwnd() const {
@@ -219,8 +213,14 @@ void BbrCc::check_full_pipe() {
 void BbrCc::on_ack(const CcAck& ack) {
   advance_round(ack);
 
-  // RTprop: windowed min over valid samples.
+  // RTprop: windowed min over valid samples. A sample no smaller than the
+  // new one can never be the min again, so it leaves before the push; the
+  // window ages from the front only here, when a new sample arrives.
   if (ack.rtt_s > 0.0) {
+    while (!rtprop_window_.empty() &&
+           rtprop_window_.back().second >= ack.rtt_s) {
+      rtprop_window_.pop_back();
+    }
     rtprop_window_.emplace_back(ack.now_s, ack.rtt_s);
     while (!rtprop_window_.empty() &&
            rtprop_window_.front().first < ack.now_s - kRtPropWindowS) {
@@ -229,11 +229,15 @@ void BbrCc::on_ack(const CcAck& ack) {
   }
 
   // BtlBw: windowed max over delivery-rate samples. The sample is the
-  // delivered delta since the acked packet was sent, over its flight time.
+  // delivered delta since the acked packet was sent, over its flight time;
+  // samples it dominates leave the back, as in the RTprop filter.
   if (ack.delivered_at_send >= 0 && ack.now_s > ack.sent_time_s) {
     double rate = static_cast<double>(ack.delivered - ack.delivered_at_send) /
                   (ack.now_s - ack.sent_time_s);
     if (rate > 0.0) {
+      while (!btlbw_window_.empty() && btlbw_window_.back().second <= rate) {
+        btlbw_window_.pop_back();
+      }
       btlbw_window_.emplace_back(round_count_, rate);
       while (!btlbw_window_.empty() &&
              btlbw_window_.front().first <

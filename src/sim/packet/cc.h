@@ -155,9 +155,13 @@ class BbrCc final : public CongestionControl {
   double max_cwnd_;
   Phase phase_ = Phase::kStartup;
 
-  // Windowed-max BtlBw filter over delivery-rate samples, keyed by round.
+  // Exact windowed-max BtlBw filter over the 10-round window: a monotonic
+  // deque of (round, rate) samples with strictly decreasing rates, so
+  // front() is the max. Aged from the front only when a rate sample arrives.
   std::deque<std::pair<std::int64_t, double>> btlbw_window_;
-  // Windowed-min RTprop filter over (time, rtt) samples.
+  // Exact windowed-min RTprop filter over the 10 s window: a monotonic
+  // deque of (time, rtt) samples with strictly increasing rtts, so front()
+  // is the min. Aged from the front only when an RTT sample arrives.
   std::deque<std::pair<double, double>> rtprop_window_;
 
   std::int64_t round_count_ = 0;

@@ -6,8 +6,10 @@
 //     (full traces — max_trace_samples = 0 — because the legacy recorder was
 //     unbounded). Any change to NewReno, the sender's ack/loss ordering, or
 //     the fingerprint definition shows up as a mismatch here.
+//   * Cubic and BBR output pins over three scenarios each, same fingerprint.
 //   * Unit-level strategy behavior: window arithmetic of NewReno and Cubic,
-//     BBR's model estimators and phase machine, driven by synthetic acks.
+//     BBR's model estimators and phase machine, driven by synthetic acks;
+//     BBR's BtlBw/RTprop filters checked against brute-force windows.
 //   * Scenario-level behavior: Cubic fills a pipe at least as well as
 //     NewReno; BBR holds deep-buffer RTT near the propagation floor.
 //   * AccessInterdomain: cross/local flows touch exactly one queue, and the
@@ -18,7 +20,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <set>
+#include <utility>
 
 #include "sim/packet/access_interdomain.h"
 #include "sim/packet/cc.h"
@@ -103,6 +107,70 @@ TEST(NewRenoPin, Sec62TestFlowWindow) {
   t.stop_time_s = 35.0;
   d.add_flow(t);
   EXPECT_EQ(scenario_fp(d.run()), 0xaaa8471b28fc5580ull);
+}
+
+// --- Cubic and BBR output pins --------------------------------------------
+// Captured with BBR filters that rescanned their full windows on every
+// read, the reference the monotonic deques must match bit for bit. Any
+// change to either strategy's arithmetic or to the filters' windowed
+// max/min or aging shows up here. The 15 s runs outlast the 10 s RTprop
+// window, so RTT samples age out of it.
+
+FlowSpec cc_trace_flow(CcAlgo cc, double rtt_s) {
+  FlowSpec s = full_trace_flow(rtt_s);
+  s.cc = cc;
+  return s;
+}
+
+DumbbellResult single_flow(CcAlgo cc) {
+  Dumbbell d(link(20, 100, 15));
+  d.add_flow(cc_trace_flow(cc, 0.03));
+  return d.run();
+}
+
+DumbbellResult three_flows(CcAlgo cc) {
+  Dumbbell d(link(30, 200, 15));
+  for (int i = 0; i < 3; ++i) d.add_flow(cc_trace_flow(cc, 0.04));
+  return d.run();
+}
+
+DumbbellResult shallow_lossy(CcAlgo cc) {
+  Dumbbell d(link(20, 30, 15));
+  d.add_flow(cc_trace_flow(cc, 0.03));
+  d.add_flow(cc_trace_flow(cc, 0.03));
+  return d.run();
+}
+
+TEST(CubicPin, SingleFlow) {
+  EXPECT_EQ(scenario_fp(single_flow(CcAlgo::kCubic)),
+            0x3111c6b57fe9dd91ull);
+}
+
+TEST(CubicPin, ThreeFlows) {
+  EXPECT_EQ(scenario_fp(three_flows(CcAlgo::kCubic)),
+            0x8c1beca72fa5e2c3ull);
+}
+
+TEST(CubicPin, ShallowBufferLossy) {
+  DumbbellResult r = shallow_lossy(CcAlgo::kCubic);
+  EXPECT_GT(r.bottleneck_drops, 0);
+  EXPECT_EQ(scenario_fp(r), 0x29110d880b2b05d7ull);
+}
+
+TEST(BbrPin, SingleFlow) {
+  EXPECT_EQ(scenario_fp(single_flow(CcAlgo::kBbr)),
+            0x5051c4ae1278ff44ull);
+}
+
+TEST(BbrPin, ThreeFlows) {
+  EXPECT_EQ(scenario_fp(three_flows(CcAlgo::kBbr)),
+            0x3533420c0b5d61c9ull);
+}
+
+TEST(BbrPin, ShallowBufferLossy) {
+  DumbbellResult r = shallow_lossy(CcAlgo::kBbr);
+  EXPECT_GT(r.bottleneck_drops, 0);
+  EXPECT_EQ(scenario_fp(r), 0x1433ced524eefcd4ull);
 }
 
 // --- strategy unit behavior -----------------------------------------------
@@ -233,6 +301,125 @@ TEST(BbrCcUnit, LossInStartupDrainsAndTimeoutKeepsModel) {
   EXPECT_STREQ(cc.phase(), "DRAIN");  // loss = pipe-full signal in STARTUP
   cc.on_timeout(2.0);
   EXPECT_DOUBLE_EQ(cc.btlbw_pps(), bw);  // RTO keeps the bandwidth model
+}
+
+// Brute-force model of BBR's two filters: full windows, scanned on every
+// read, aged from the front only when a sample of that filter arrives.
+// Rounds follow BbrCc::advance_round.
+struct ReferenceBbrFilters {
+  std::deque<std::pair<std::int64_t, double>> btlbw;  // (round, rate)
+  std::deque<std::pair<double, double>> rtprop;       // (time, rtt)
+  std::int64_t round_count = 0;
+  std::int64_t round_end_delivered = 0;
+
+  void on_ack(const CcAck& ack) {
+    if (ack.delivered >= round_end_delivered) {
+      ++round_count;
+      round_end_delivered =
+          ack.delivered + static_cast<std::int64_t>(ack.in_flight) + 1;
+    }
+    if (ack.rtt_s > 0.0) {
+      rtprop.emplace_back(ack.now_s, ack.rtt_s);
+      while (rtprop.front().first < ack.now_s - 10.0) rtprop.pop_front();
+    }
+    if (ack.delivered_at_send >= 0 && ack.now_s > ack.sent_time_s) {
+      double rate =
+          static_cast<double>(ack.delivered - ack.delivered_at_send) /
+          (ack.now_s - ack.sent_time_s);
+      if (rate > 0.0) {
+        btlbw.emplace_back(round_count, rate);
+        while (btlbw.front().first < round_count - 10) btlbw.pop_front();
+      }
+    }
+  }
+  double btlbw_pps() const {
+    double best = 0.0;
+    for (const auto& s : btlbw) best = std::max(best, s.second);
+    return best;
+  }
+  double rtprop_s() const {
+    double best = 0.0;
+    for (const auto& s : rtprop) {
+      if (best == 0.0 || s.second < best) best = s.second;
+    }
+    return best;
+  }
+};
+
+TEST(BbrCcUnit, FiltersMatchBruteForceWindowsOnLongAckStream) {
+  BbrCc cc(10.0, 10000.0);
+  ReferenceBbrFilters ref;
+  std::uint64_t state = 0x9e3779b97f4a7c15ull;
+  auto next = [&state](std::uint64_t n) {  // splitmix64, reduced mod n
+    std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    return (z ^ (z >> 31)) % n;
+  };
+
+  double now = 0.0;
+  std::int64_t delivered = 0;
+  int btlbw_fell = 0, rtprop_rose = 0, stale_max_kept = 0;
+  int rounds_without_rate = 0, invalid_rtts = 0;
+  double prev_bw = 0.0, prev_rtt = 0.0;
+  for (int i = 0; i < 40000; ++i) {
+    // Shapes change every 1500 acks (longer than the RTprop window):
+    // rising, falling, flat (equal samples) and random, on a small grid so
+    // equal values recur in every shape.
+    int shape = (i / 1500) % 4;
+    int step = i % 1500;
+    auto shaped = [&](int levels) {
+      switch (shape) {
+        case 0:
+          return step * levels / 1500;
+        case 1:
+          return levels - 1 - step * levels / 1500;
+        case 2:
+          return levels / 2;
+        default:
+          return static_cast<int>(next(levels));
+      }
+    };
+    // Every 4000 acks: a 12 s gap (whole RTprop window goes stale), then a
+    // stretch of acks that close rounds but carry no rate sample. Steps of
+    // 1/256 s keep times exact, so samples exactly 10 s old occur.
+    bool quiet = i % 4000 >= 3800;
+    now += i % 4000 == 0 && i > 0 ? 12.0 : (1 + next(4)) / 256.0;
+    delivered += static_cast<std::int64_t>(next(4));
+
+    CcAck a = ack_at(now, -1.0, delivered, static_cast<double>(next(8)));
+    if (next(8) != 0) a.rtt_s = 0.02 + 0.001 * shaped(16);
+    if (!quiet && next(4) != 0) {
+      std::int64_t span = 1 + static_cast<std::int64_t>(shaped(40));
+      a.delivered_at_send = std::max<std::int64_t>(0, delivered - span);
+      a.sent_time_s = now - 0.01 * static_cast<double>(1 + next(3));
+    }
+
+    std::int64_t round_before = ref.round_count;
+    cc.on_ack(a);
+    ref.on_ack(a);
+    ASSERT_EQ(cc.btlbw_pps(), ref.btlbw_pps()) << "ack " << i;
+    ASSERT_EQ(cc.rtprop_s(), ref.rtprop_s()) << "ack " << i;
+
+    if (a.rtt_s < 0.0) ++invalid_rtts;
+    if (ref.round_count > round_before && a.delivered_at_send < 0) {
+      ++rounds_without_rate;
+    }
+    if (!ref.btlbw.empty() &&
+        ref.btlbw.front().first < ref.round_count - 10) {
+      ++stale_max_kept;  // no rate sample has aged the window yet
+    }
+    if (ref.btlbw_pps() < prev_bw) ++btlbw_fell;
+    if (ref.rtprop_s() > prev_rtt && prev_rtt > 0.0) ++rtprop_rose;
+    prev_bw = ref.btlbw_pps();
+    prev_rtt = ref.rtprop_s();
+  }
+  // The stream exercised what it was built for.
+  EXPECT_GT(invalid_rtts, 1000);
+  EXPECT_GT(rounds_without_rate, 100);
+  EXPECT_GT(stale_max_kept, 100);
+  EXPECT_GT(btlbw_fell, 100);  // a max aged out of the BtlBw window
+  EXPECT_GT(rtprop_rose, 10);  // a min aged out of the RTprop window
 }
 
 // --- scenario-level behavior ----------------------------------------------

@@ -323,7 +323,6 @@ TEST(CliSmoke, EveryRegisteredSubcommandRuns) {
       {"diurnal", "--scale tiny --seed 3 --days 2"},
       {"faults", "--list"},
       {"pathmodel", "--cc reno --scenario sender --tests 1"},
-      {"scale", "--scale tiny --seed 3 --tests 500 --threads 2"},
       {"serve", "--scale tiny --seed 3 --tests 500 --shards 2 --snapshots 2"},
       {"stats", "--scale tiny --seed 3 --days 1 --tests-per-client 1"},
   };

@@ -6,8 +6,6 @@
 // text and the dispatch both come from the kSubcommands registry below, so
 // a new subcommand is one table entry plus its cmd_* function.
 
-#include <sys/resource.h>
-
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -421,53 +419,6 @@ int cmd_stats(const Args& args) {
   return 0;
 }
 
-int cmd_scale(const Args& args) {
-  gen::World world = gen::generate_world(config_from(args));
-  route::BgpRouting bgp(*world.topo);
-  route::Forwarder fwd(*world.topo, bgp);
-  sim::ThroughputModel model(*world.topo, *world.traffic);
-  measure::Platform mlab("M-Lab", *world.topo, world.mlab_servers);
-
-  // Fixed-size synthetic schedule (round-robin clients, constant arrival
-  // rate) so tests/sec is comparable across runs and machines.
-  std::size_t n = static_cast<std::size_t>(args.get_int("tests", 20000));
-  std::vector<gen::TestRequest> schedule;
-  schedule.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    gen::TestRequest req;
-    req.client = world.clients[i % world.clients.size()];
-    req.utc_time_hours = static_cast<double>(i) / 5000.0;
-    schedule.push_back(req);
-  }
-
-  measure::CampaignConfig cc;
-  cc.threads = args.get_int("threads", 0);
-  route::PathCache path_cache(fwd);
-  measure::NdtCampaign campaign(world, fwd, model, mlab, cc);
-  campaign.set_path_cache(&path_cache);
-  util::Rng rng(static_cast<std::uint64_t>(args.get_int("seed", 42)) + 1);
-
-  auto peak_rss_mb = [] {
-    struct rusage ru {};
-    getrusage(RUSAGE_SELF, &ru);
-    return static_cast<double>(ru.ru_maxrss) / 1024.0;  // KiB -> MiB
-  };
-
-  auto start = std::chrono::steady_clock::now();
-  measure::ColumnarCampaignResult result =
-      campaign.run_columnar(schedule, rng);
-  double wall_s = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - start)
-                      .count();
-  std::size_t tests = result.tests.size();
-
-  std::printf("tests: %zu  traceroutes: %zu  paths interned: %zu\n", tests,
-              result.traceroutes.size(), result.paths.size());
-  std::printf("wall: %.2f s  tests/sec: %.0f  peak rss: %.1f MiB\n", wall_s,
-              static_cast<double>(tests) / wall_s, peak_rss_mb());
-  return 0;
-}
-
 // Strict unsigned parse for flag values: the whole string must be digits
 // and fit under `max`. atoi-style silent truncation must not turn a typo
 // into a surprising port or retention window.
@@ -564,8 +515,9 @@ int cmd_serve(const Args& args) {
   sim::ThroughputModel model(*world.topo, *world.traffic);
   measure::Platform mlab("M-Lab", *world.topo, world.mlab_servers);
 
-  // Synthetic schedule as in `scale`, then flattened into the arrival-
-  // ordered event log the service would see in production.
+  // Fixed-size synthetic schedule (round-robin clients, constant arrival
+  // rate), then flattened into the arrival-ordered event log the service
+  // would see in production.
   std::size_t n = static_cast<std::size_t>(args.get_int("tests", 20000));
   std::vector<gen::TestRequest> schedule;
   schedule.reserve(n);
@@ -1070,8 +1022,6 @@ constexpr Subcommand kSubcommands[] = {
      "--cc reno|cubic|bbr|all --scenario bandwidth|sender|interdomain|"
      "access|all --tests N --out FILE",
      &cmd_pathmodel},
-    {"scale", "columnar-engine scaling probe: tests/sec and peak RSS",
-     "--tests N --threads N", &cmd_scale},
     {"serve", "replay a campaign through the always-on ingest service",
      "--tests N --shards N --queue N --policy block|drop --rate X "
      "--snapshots N --listen PORT --connect HOST:PORT --wal-dir DIR "
